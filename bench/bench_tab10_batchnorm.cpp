@@ -19,8 +19,9 @@ RobustResult rerr_bn(const std::string& name, double p, bool batch_stats) {
   BitErrorConfig cfg;
   cfg.p = p;
   const RobustResult r =
-      robust_error(model, s.train_cfg.quant, zoo::rerr_set(s.dataset), cfg,
-                   zoo::default_chips(), 1000);
+      RobustnessEvaluator(model, s.train_cfg.quant)
+          .run(RandomBitErrorModel(cfg, 1000), zoo::rerr_set(s.dataset),
+               zoo::default_chips());
   model.visit([&](Layer& l) {
     if (auto* bn = dynamic_cast<BatchNorm2d*>(&l)) {
       bn->set_use_batch_stats_in_eval(false);

@@ -37,10 +37,13 @@ int main() {
     c1.p = 0.01;
     const QuantScheme scheme = rq.train_cfg.quant;
     const float err = 100.0f * test_error(model, zoo::test_set("c10"), &scheme);
-    const RobustResult r01 = robust_error(model, scheme, zoo::rerr_set("c10"),
-                                          c01, zoo::default_chips(), 1000);
-    const RobustResult r1 = robust_error(model, scheme, zoo::rerr_set("c10"),
-                                         c1, zoo::default_chips(), 1000);
+    const RobustnessEvaluator evaluator(model, scheme);
+    const RobustResult r01 =
+        evaluator.run(RandomBitErrorModel(c01, 1000), zoo::rerr_set("c10"),
+                      zoo::default_chips());
+    const RobustResult r1 =
+        evaluator.run(RandomBitErrorModel(c1, 1000), zoo::rerr_set("c10"),
+                      zoo::default_chips());
     return std::vector<std::string>{label, TablePrinter::fmt(err, 2),
                                     fmt_rerr(r01), fmt_rerr(r1)};
   };

@@ -24,11 +24,13 @@ int main() {
   BitErrorConfig cfg;
   cfg.p = 0.01;
 
+  const RobustnessEvaluator evaluator(model, s.train_cfg.quant);
+  const RandomBitErrorModel fault(cfg, 31000);
+
   std::printf("Empirical stress test (Clipping_0.1, p=1%%):\n");
   TablePrinter t({"l (patterns)", "RErr (%)", "std (%)"});
   for (int l : {5, 20, fast_mode() ? 40 : 100}) {
-    const RobustResult r =
-        robust_error(model, s.train_cfg.quant, data, cfg, l, 31000);
+    const RobustResult r = evaluator.run(fault, data, l);
     t.add_row({std::to_string(l), TablePrinter::fmt(100.0 * r.mean_rerr, 2),
                TablePrinter::fmt(100.0 * r.std_rerr, 2)});
   }

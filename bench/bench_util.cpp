@@ -30,8 +30,8 @@ RobustResult rerr(const std::string& name, double p) {
 RobustResult rerr_with_scheme(const std::string& name,
                               const QuantScheme& scheme, double p) {
   // One-point declarative experiment: zoo model, "random" fault at rate p,
-  // the historical seed base. Identical numbers to the pre-API
-  // robust_error() path (regression-pinned in tests/test_api.cpp).
+  // the historical seed base. Identical numbers to a standalone
+  // RobustnessEvaluator run (regression-pinned in tests/test_api.cpp).
   Json params = Json::object();
   params.set("p", p);
   params.set("seed_base", 1000);

@@ -67,12 +67,14 @@ int main(int argc, char** argv) {
 
     // Sweep voltage downward until the accuracy budget is exhausted. RErr is
     // monotone in p (persistence), so the first violation is the frontier.
+    const RobustnessEvaluator evaluator(*model, scheme);
     double max_safe_p = 0.0;
     for (double p : {0.0005, 0.001, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02,
                      0.025}) {
       BitErrorConfig bits;
       bits.p = p;
-      const RobustResult r = robust_error(*model, scheme, test_set, bits, 5);
+      const RobustResult r =
+          evaluator.run(RandomBitErrorModel(bits), test_set, 5);
       if (100.0 * r.mean_rerr > clean + budget_pct) break;
       max_safe_p = p;
     }

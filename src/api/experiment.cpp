@@ -1,12 +1,9 @@
 #include "api/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <future>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "api/registry.h"
@@ -379,7 +376,7 @@ Report Runner::run_serve() {
   const ServeSection& sv = spec_.serve;
   // Registered up front so the key exists (at zero) in every serve
   // snapshot — CI gates on it without a presence check.
-  obs::Counter& shed = obs::registry().counter("serve.requests_shed");
+  obs::registry().counter("serve.requests_shed");
   ResolvedModel rm = resolve(spec_.models.front());
 
   s.clean_err = test_error(*rm.model, *rm.test_set, &rm.scheme, spec_.eval.batch);
@@ -421,7 +418,6 @@ Report Runner::run_serve() {
                                   ? subset(*rm.test_set, sv.canary_subset)
                                   : *rm.test_set;
   s.fleet_energy = planner.fleet_energy_per_access(fleet);
-  s.requests = sv.requests;
 
   if (sv.traffic.enabled()) {
     // Open-loop load: arrival-process schedules drive the pool on their own
@@ -440,53 +436,7 @@ Report Runner::run_serve() {
     s.requests = static_cast<long>(tr.offered);
     s.answered = static_cast<long>(tr.answered);
     s.rejected = static_cast<long>(tr.shed);
-    shed.add(0);  // key exists even if the generator never shed
     s.timeline = std::move(tr.timeline);
-    s.mean_batch = pool.stats().mean_batch_images;
-    BER_TRACE_SCOPE("runner", "canary");
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      s.canary_errs.push_back(pool.replica(i).canary(canary_set).error);
-    }
-  } else if (sv.requests > 0) {
-    // Drive single-image traffic through the dynamic-batching pool. With a
-    // bounded queue (max_queue_images) submissions can be rejected; the
-    // client retries with a short backoff (as a real load-shedding client
-    // would) and counts a request as rejected only once the retry budget is
-    // spent. Accepted requests must all answer (the no-loss contract).
-    ReplicaPool pool(std::move(fleet), sv.queue);
-    {
-      BER_TRACE_SCOPE_ARGS("runner", "traffic", {"requests", sv.requests});
-      Tensor image;
-      std::vector<int> labels;
-      std::vector<std::future<std::vector<Prediction>>> futures;
-      futures.reserve(static_cast<std::size_t>(sv.requests));
-      for (long i = 0; i < sv.requests; ++i) {
-        const long j = i % rm.test_set->size();
-        rm.test_set->batch(j, j + 1, image, labels);
-        Tensor single = image.reshaped(
-            {image.shape(1), image.shape(2), image.shape(3)});
-        for (int attempt = 0;; ++attempt) {
-          try {
-            // Copy per attempt: a rejected submit consumes its argument.
-            futures.push_back(pool.submit(single));
-            break;
-          } catch (const QueueFullError&) {
-            // Budget ~100ms: several batch service times, so a shed means
-            // the pool is genuinely stalled, not mid-drain.
-            if (attempt >= 200) {
-              // Shed = dropped after the whole retry budget, not a transient
-              // queue-full (those are serve.queue_rejections).
-              ++s.rejected;
-              shed.add(1);
-              break;
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(500));
-          }
-        }
-      }
-      for (auto& f : futures) s.answered += static_cast<long>(f.get().size());
-      pool.drain();
-    }
     s.mean_batch = pool.stats().mean_batch_images;
     BER_TRACE_SCOPE("runner", "canary");
     for (std::size_t i = 0; i < pool.size(); ++i) {

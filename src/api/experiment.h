@@ -50,16 +50,16 @@ struct ModelReport {
 };
 
 // Deterministic serving-lifecycle results (plus traffic counters when the
-// spec drives requests through the pool).
+// spec drives open-loop traffic through the pool).
 struct ServeReport {
   double clean_err = 0.0;
   SloConfig slo;
   OperatingPointPlan plan;
   std::vector<double> canary_errs;  // per replica, deployed at plan.chosen
   double fleet_energy = 1.0;        // mean energy/access vs Vmin
-  long requests = 0;
+  long requests = 0;                // offered by the traffic generator
   long answered = 0;
-  long rejected = 0;                // bounded-queue admission rejections
+  long rejected = 0;                // shed at admission (queue full)
   double mean_batch = 0.0;
   // Windowed SLO timeline (SloScoreboard::to_json()) when the spec drives
   // open-loop traffic; null otherwise.

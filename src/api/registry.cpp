@@ -145,14 +145,9 @@ std::unique_ptr<FaultModel> make_random(const Json& params,
 }
 
 std::unique_ptr<FaultModel> make_profiled(const Json& params,
-                                          const FaultContext& ctx) {
+                                          const FaultContext&) {
   ParamReader p("fault \"profiled\"", params);
   const double v = p.require_number("voltage");
-  if (ctx.chip != nullptr) {
-    // Adapter path: reuse the caller's (large, already-built) profiled map.
-    p.finish();
-    return std::make_unique<ProfiledChipModel>(*ctx.chip, v);
-  }
   const std::string preset = p.str("chip", "chip1");
   ProfiledChipConfig cfg;
   if (preset == "chip1") cfg = ProfiledChipConfig::chip1();
@@ -214,7 +209,7 @@ std::unique_ptr<FaultModel> make_adversarial(const Json& params,
   }
   if (ctx.layout == nullptr) {
     p.fail("needs a quantized snapshot layout (construct through the "
-           "Runner / metrics adapters, which pass a FaultContext)");
+           "Runner, or pass a FaultContext with the evaluator's snapshot)");
   }
   if (control) {
     const auto seed_base =

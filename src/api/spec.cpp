@@ -364,20 +364,13 @@ ServeSection serve_from_json(const Json& j) {
         q.integer("max_queue_images", s.queue.max_queue_images);
     q.finish();
   }
-  s.requests = p.integer("requests", s.requests);
   const Json& traffic = p.raw("traffic");
   if (!traffic.is_null()) s.traffic = traffic_from_json(traffic);
   p.finish();
   if (s.n_chips < 1 || s.replicas < 1) {
     p.fail("\"n_chips\" and \"replicas\" must be >= 1");
   }
-  if (s.canary_subset < 0 || s.requests < 0) {
-    p.fail("\"canary_subset\" and \"requests\" must be >= 0");
-  }
-  if (s.traffic.enabled() && s.requests > 0) {
-    p.fail("give \"traffic\" (open-loop) or \"requests\" (closed-loop burst),"
-           " not both");
-  }
+  if (s.canary_subset < 0) p.fail("\"canary_subset\" must be >= 0");
   return s;
 }
 
@@ -401,7 +394,6 @@ Json serve_to_json(const ServeSection& s) {
     q.set("max_queue_images", s.queue.max_queue_images);
   }
   j.set("queue", q);
-  if (s.requests > 0) j.set("requests", s.requests);
   if (s.traffic.enabled()) j.set("traffic", traffic_to_json(s.traffic));
   return j;
 }
@@ -658,9 +650,6 @@ void ExperimentSpec::validate() const {
     // traffic shape here so Experiment::serve() failures are actionable.
     const TrafficConfig& t = serve.traffic;
     if (t.enabled()) {
-      if (serve.requests > 0) {
-        fail("serve.traffic and serve.requests are mutually exclusive");
-      }
       if (t.window_ms < 1) fail("serve.traffic.window_ms must be >= 1");
       if (t.slo.latency_us <= 0.0 || t.slo.attainment <= 0.0 ||
           t.slo.attainment >= 1.0) {

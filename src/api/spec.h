@@ -119,10 +119,8 @@ struct ServeSection {
   int replicas = 3;     // fleet size
   long canary_subset = 0;  // examples for per-replica canaries (0 = full)
   BatchQueueConfig queue;
-  long requests = 0;    // closed-loop traffic burst (0 = skip)
   // Open-loop load (serve/traffic_gen.h): arrival-process phases + SLO
-  // scoreboard. Mutually exclusive with `requests` — a spec drives the pool
-  // either closed-loop (the legacy burst) or open-loop, never both.
+  // scoreboard. No phases = plan, deploy and canary only, no traffic.
   TrafficConfig traffic;
 };
 

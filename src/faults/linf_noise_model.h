@@ -2,8 +2,8 @@
 //
 // A kFloatWeights scenario: trial t adds uniform noise in
 // [-rel_eps * range, +rel_eps * range] to every weight, where range is each
-// tensor's max |w|. Noise draws follow the historical
-// linf_weight_noise_error() stream (Rng seeded per trial from seed_base), so
+// tensor's max |w|. Noise draws follow the historical Fig. 9 stream (Rng
+// seeded per trial from seed_base, pinned in tests/test_faults.cpp), so
 // trial indices reproduce its results exactly.
 #pragma once
 

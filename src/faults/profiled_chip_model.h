@@ -3,8 +3,9 @@
 //
 // Trial t selects the t-th linear weight-to-memory mapping: offsets are
 // spread over the array with a large odd stride so different mappings
-// overlap as little as possible — identical to the historical
-// robust_error_profiled() offsets, so trial indices reproduce its results.
+// overlap as little as possible — identical to the historical Tab. 5
+// per-offset loop (pinned in tests/test_faults.cpp), so trial indices
+// reproduce its results.
 #pragma once
 
 #include <memory>

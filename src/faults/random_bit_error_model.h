@@ -1,7 +1,7 @@
 // Uniform random bit errors BErr_p (Sec. 3) as a FaultModel.
 //
 // Trial t is the chip with seed `seed_base + t`, so trial indices reproduce
-// the historical robust_error() chips exactly. Injection goes through the
+// the historical per-chip loop (pinned in tests/test_faults.cpp) exactly. Injection goes through the
 // sparse ChipFaultList hot path (biterror/injector.h); fault_list() exposes
 // the list so multi-rate sweeps can build it once per chip at the highest
 // rate and filter down — the persistence property of the model guarantees

@@ -202,6 +202,8 @@ struct Registry::Entry {
   std::unique_ptr<Histogram> histogram;
 };
 
+Registry::~Registry() { delete entries_; }
+
 std::vector<Registry::Entry>& Registry::entries() const {
   if (entries_ == nullptr) {
     const_cast<Registry*>(this)->entries_ = new std::vector<Entry>();
@@ -209,10 +211,12 @@ std::vector<Registry::Entry>& Registry::entries() const {
   return *entries_;
 }
 
+// Callers hold mu_: the returned Entry lives in a vector another thread's
+// push_back may reallocate, so only the (heap-stable) instrument pointer
+// may be taken out of the critical section.
 Registry::Entry& Registry::find_or_create(const std::string& name,
                                           const Labels& labels, int kind) {
   const std::string key = metric_key(name, labels);
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry>& es = entries();
   for (Entry& e : es) {
     if (e.key == key) {
@@ -239,14 +243,17 @@ Registry::Entry& Registry::find_or_create(const std::string& name,
 }
 
 Counter& Registry::counter(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kCounter).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kGauge).gauge;
 }
 
 Histogram& Registry::histogram(const std::string& name, const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *find_or_create(name, labels, kHistogram).histogram;
 }
 

@@ -141,14 +141,17 @@ class Registry {
   void reset();
 
   Registry() = default;
+  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
  private:
   struct Entry;
-  // Sorted by key under mu_; pointers to instruments are stable (unique_ptr
-  // payloads never move).
+  // Registration order, guarded by mu_. Entries move when the vector grows;
+  // the instruments they own do not (unique_ptr payloads), so handles stay
+  // valid.
   std::vector<Entry>& entries() const;
+  // Requires mu_ held.
   Entry& find_or_create(const std::string& name, const Labels& labels,
                         int kind);
 

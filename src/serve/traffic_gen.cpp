@@ -139,7 +139,8 @@ TrafficResult TrafficGenerator::run() {
 
   obs::Counter& offered_ctr = obs::registry().counter("traffic.offered");
   obs::Counter& shed_ctr = obs::registry().counter("traffic.shed");
-  // Shared with the Runner's closed-loop path (and CI's shed gate).
+  // The serving-wide shed total (the Runner registers it up front; CI's
+  // shed gate reads it).
   obs::Counter& requests_shed =
       obs::registry().counter("serve.requests_shed");
   obs::SloScoreboard board(cfg_.slo, pool_.latency_histogram());

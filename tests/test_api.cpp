@@ -167,17 +167,6 @@ TEST(Registry, AllFiveFaultModelsConstructibleByName) {
   EXPECT_EQ(cmc->trials()[0].size(), 4u);  // budget-matched flips
 }
 
-TEST(Registry, ProfiledReusesContextChip) {
-  RegistryFixture fx;
-  ProfiledChip chip(ProfiledChipConfig::chip1(55));
-  api::FaultContext ctx;
-  ctx.chip = &chip;
-  Json params = Json::object();
-  params.set("voltage", 0.9);
-  auto pm = api::make_fault_model("profiled", params, ctx);
-  EXPECT_EQ(&dynamic_cast<ProfiledChipModel&>(*pm).chip(), &chip);
-}
-
 TEST(Registry, RejectionsAreActionable) {
   RegistryFixture fx;
   const api::FaultContext ctx = fx.context();
@@ -328,6 +317,13 @@ TEST(Spec, RejectsUnknownKeysAndInvalidValues) {
                          "fault": {"model": "random"},
                          "serve": {"voltages": [0.9, 1.0]}})"),
                std::invalid_argument);
+  // "requests" is not a serve key: load is declared under serve.traffic.
+  EXPECT_THROW(parse(R"({"name": "x", "kind": "serve",
+                         "models": [{"zoo": "c10_rquant"}],
+                         "fault": {"model": "random"},
+                         "serve": {"voltages": [1.0, 0.9],
+                                   "requests": 256}})"),
+               std::invalid_argument);
 }
 
 TEST(Spec, ShippedConfigFilesParseValidateAndRoundTrip) {
@@ -406,11 +402,12 @@ TEST(Runner, RateSweepBitExactVsLegacyPaths) {
   const std::vector<RobustResult> legacy_sweep =
       RobustnessEvaluator(*legacy.model, legacy.scheme)
           .run_rate_sweep(fault, grid, legacy.test_set, /*n_chips=*/2);
-  // Legacy single-point path (robust_error).
+  // Legacy single-point path (one evaluator run at the top rate).
   BitErrorConfig single;
   single.p = grid[1];
-  const RobustResult legacy_single = robust_error(
-      *legacy.model, legacy.scheme, legacy.test_set, single, 2, 1000);
+  const RobustResult legacy_single =
+      RobustnessEvaluator(*legacy.model, legacy.scheme)
+          .run(RandomBitErrorModel(single, 1000), legacy.test_set, 2);
 
   const api::Report report = api::Experiment("bitexact")
                                  .model(tiny_entry())
@@ -476,6 +473,34 @@ TEST(Runner, ReportJsonCarriesResults) {
   // The report embeds the normalized spec for provenance.
   EXPECT_EQ(api::ExperimentSpec::from_json(j.at("spec")).to_json(),
             j.at("spec"));
+}
+
+TEST(Runner, ServeDrivesOpenLoopTrafficThroughTheFleet) {
+  api::ServeSection sv;
+  sv.voltages = {1.0, 0.9};
+  sv.n_chips = 2;
+  sv.replicas = 2;
+  sv.canary_subset = 50;
+  ArrivalPhase phase;
+  phase.rate_rps = 200.0;
+  phase.duration_s = 0.25;
+  sv.traffic.phases.push_back(phase);
+  const api::Report report = api::Experiment("serve_smoke")
+                                 .model(tiny_entry())
+                                 .fault("random", Json::object())
+                                 .split("test")
+                                 .serve(sv)
+                                 .run();
+  const api::ServeReport& s = report.serve;
+  EXPECT_GT(s.requests, 0);
+  EXPECT_EQ(s.requests, s.answered + s.rejected);
+  EXPECT_EQ(s.canary_errs.size(), static_cast<std::size_t>(sv.replicas));
+  const Json j = report.to_json();
+  const Json& traffic = j.at("serve").at("traffic");
+  EXPECT_EQ(traffic.at("requests").as_int(), s.requests);
+  EXPECT_EQ(traffic.at("answered").as_int(), s.answered);
+  EXPECT_EQ(traffic.at("rejected").as_int(), s.rejected);
+  EXPECT_TRUE(j.at("serve").at("timeline").contains("summary"));
 }
 
 }  // namespace

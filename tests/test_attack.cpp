@@ -260,10 +260,17 @@ TEST(AdversarialError, EntryPointIsDeterministic) {
   cfg.budget = 10;
   cfg.rounds = 2;
   cfg.attack_examples = 80;
-  const RobustResult a =
-      adversarial_error(*t.model, t.scheme, t.test_set, t.train_set, cfg, 2);
-  const RobustResult b =
-      adversarial_error(*t.model, t.scheme, t.test_set, t.train_set, cfg, 2);
+  // Each run mounts its own attacks; the same config must reproduce the
+  // same flip sets, hence the same per-trial errors.
+  const auto run = [&] {
+    const RobustnessEvaluator evaluator(*t.model, t.scheme);
+    BitFlipAttacker attacker(*t.model, t.scheme, t.train_set, cfg);
+    return evaluator.run(
+        make_adversarial_model(attacker, evaluator.snapshot(), 2), t.test_set,
+        2);
+  };
+  const RobustResult a = run();
+  const RobustResult b = run();
   ASSERT_EQ(a.per_chip.size(), 2u);
   EXPECT_EQ(a.per_chip, b.per_chip);
 }

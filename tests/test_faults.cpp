@@ -260,8 +260,9 @@ TEST(RobustnessEvaluator, VoltageSweepMatchesIndividualRuns) {
                          .run_voltage_sweep(fault, grid, f.data, 4);
   ASSERT_EQ(sweep.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const RobustResult single =
-        robust_error_profiled(*f.model, scheme, f.data, chip, grid[i], 4);
+    const RobustResult single = RobustnessEvaluator(*f.model, scheme)
+                                    .run(ProfiledChipModel(chip, grid[i]),
+                                         f.data, 4);
     EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "v=" << grid[i];
   }
 }
@@ -297,7 +298,7 @@ RobustResult legacy_summarize(std::vector<float> errs,
   return r;
 }
 
-// The legacy robust_error pipeline (fresh clone per chip, scalar injection).
+// The legacy BErr_p pipeline (fresh clone per chip, scalar injection).
 // Code-space legacy loops deploy through the same weight-space/on-codes
 // switch the evaluator uses so the regression stays a pipeline-identity
 // check under BER_COMPUTE_ON_CODES=1 too.
@@ -379,7 +380,8 @@ TEST(FaultRegression, RobustErrorUnchanged) {
   BitErrorConfig cfg;
   cfg.p = 0.01;
   expect_same_result(
-      robust_error(*f.model, scheme, f.data, cfg, 5, /*seed_base=*/1000),
+      RobustnessEvaluator(*f.model, scheme)
+          .run(RandomBitErrorModel(cfg, /*seed_base=*/1000), f.data, 5),
       legacy_robust_error(*f.model, scheme, f.data, cfg, 5, 1000));
 }
 
@@ -391,14 +393,16 @@ TEST(FaultRegression, RobustErrorProfiledUnchanged) {
   cc.cols = 64;
   const ProfiledChip chip(cc);
   expect_same_result(
-      robust_error_profiled(*f.model, scheme, f.data, chip, 0.84, 4),
+      RobustnessEvaluator(*f.model, scheme)
+          .run(ProfiledChipModel(chip, 0.84), f.data, 4),
       legacy_robust_error_profiled(*f.model, scheme, f.data, chip, 0.84, 4));
 }
 
 TEST(FaultRegression, LinfWeightNoiseErrorUnchanged) {
   Fixture f;
   expect_same_result(
-      linf_weight_noise_error(*f.model, f.data, 0.1, 4, /*seed_base=*/2000),
+      RobustnessEvaluator(*f.model)
+          .run(LinfNoiseModel(0.1, /*seed_base=*/2000), f.data, 4),
       legacy_linf_weight_noise_error(*f.model, f.data, 0.1, 4, 2000));
 }
 
@@ -470,8 +474,9 @@ TEST(RobustnessEvaluator, RateSweepMatchesIndividualRuns) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     BitErrorConfig at_p = cfg;
     at_p.p = grid[i];
-    const RobustResult single =
-        robust_error(*f.model, scheme, f.data, at_p, 4, 1000);
+    const RobustResult single = RobustnessEvaluator(*f.model, scheme)
+                                    .run(RandomBitErrorModel(at_p, 1000),
+                                         f.data, 4);
     EXPECT_EQ(sweep[i].per_chip, single.per_chip) << "p=" << grid[i];
   }
 }

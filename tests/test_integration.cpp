@@ -7,6 +7,9 @@
 #include "biterror/injector.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/evaluator.h"
+#include "faults/profiled_chip_model.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "train/trainer.h"
 
@@ -76,19 +79,21 @@ TEST(Integration, RobustErrorAtLeastCleanError) {
   const float clean = test_error(model, mini().test_set, &scheme);
   BitErrorConfig cfg;
   cfg.p = 0.01;
-  const RobustResult r = robust_error(model, scheme, mini().test_set, cfg, 6);
+  const RobustResult r = RobustnessEvaluator(model, scheme)
+                             .run(RandomBitErrorModel(cfg), mini().test_set, 6);
   EXPECT_GE(r.mean_rerr, clean - 0.01f);
 }
 
 TEST(Integration, RobustErrorGrowsWithRate) {
   Sequential& model = rquant_model();
   const QuantScheme scheme = QuantScheme::rquant(8);
+  const RobustnessEvaluator evaluator(model, scheme);
   std::vector<float> rerrs;
   for (double p : {0.001, 0.01, 0.05}) {
     BitErrorConfig cfg;
     cfg.p = p;
     rerrs.push_back(
-        robust_error(model, scheme, mini().test_set, cfg, 6).mean_rerr);
+        evaluator.run(RandomBitErrorModel(cfg), mini().test_set, 6).mean_rerr);
   }
   EXPECT_LE(rerrs[0], rerrs[1] + 0.02f);
   EXPECT_LT(rerrs[1], rerrs[2] + 0.02f);
@@ -101,10 +106,13 @@ TEST(Integration, GlobalQuantizationFarLessRobust) {
   Sequential& model = rquant_model();
   BitErrorConfig cfg;
   cfg.p = 0.005;
-  const RobustResult global = robust_error(
-      model, QuantScheme::global_symmetric(8), mini().test_set, cfg, 6);
-  const RobustResult per_tensor = robust_error(
-      model, QuantScheme::normal(8), mini().test_set, cfg, 6);
+  const RandomBitErrorModel fault(cfg);
+  const RobustResult global =
+      RobustnessEvaluator(model, QuantScheme::global_symmetric(8))
+          .run(fault, mini().test_set, 6);
+  const RobustResult per_tensor =
+      RobustnessEvaluator(model, QuantScheme::normal(8))
+          .run(fault, mini().test_set, 6);
   EXPECT_GT(global.mean_rerr, per_tensor.mean_rerr + 0.05f);
 }
 
@@ -118,10 +126,11 @@ TEST(Integration, ClippingImprovesHighRateRobustness) {
   const float clip_clean = test_error(clipped_model(), mini().test_set, &scheme);
   BitErrorConfig cfg;
   cfg.p = 0.01;
-  const RobustResult plain =
-      robust_error(rquant_model(), scheme, mini().test_set, cfg, 8);
-  const RobustResult clipped =
-      robust_error(clipped_model(), scheme, mini().test_set, cfg, 8);
+  const RandomBitErrorModel fault(cfg);
+  const RobustResult plain = RobustnessEvaluator(rquant_model(), scheme)
+                                 .run(fault, mini().test_set, 8);
+  const RobustResult clipped = RobustnessEvaluator(clipped_model(), scheme)
+                                   .run(fault, mini().test_set, 8);
   const float plain_damage = plain.mean_rerr - plain_clean;
   const float clip_damage = clipped.mean_rerr - clip_clean;
   EXPECT_LT(clip_damage, plain_damage);
@@ -138,8 +147,11 @@ TEST(Integration, SaveLoadPreservesRobustnessExactly) {
   const QuantScheme scheme = QuantScheme::rquant(8);
   BitErrorConfig cfg;
   cfg.p = 0.01;
-  const RobustResult a = robust_error(model, scheme, mini().test_set, cfg, 3);
-  const RobustResult b = robust_error(*fresh, scheme, mini().test_set, cfg, 3);
+  const RandomBitErrorModel fault(cfg);
+  const RobustResult a =
+      RobustnessEvaluator(model, scheme).run(fault, mini().test_set, 3);
+  const RobustResult b =
+      RobustnessEvaluator(*fresh, scheme).run(fault, mini().test_set, 3);
   EXPECT_EQ(a.per_chip, b.per_chip);
   std::remove(path.c_str());
 }
@@ -150,10 +162,11 @@ TEST(Integration, LowerVoltageMeansHigherRErrOnProfiledChip) {
   cc.rows = 1024;
   ProfiledChip chip(cc);
   const QuantScheme scheme = QuantScheme::rquant(8);
+  const RobustnessEvaluator evaluator(model, scheme);
   const RobustResult hi =
-      robust_error_profiled(model, scheme, mini().test_set, chip, 0.92, 3);
+      evaluator.run(ProfiledChipModel(chip, 0.92), mini().test_set, 3);
   const RobustResult lo =
-      robust_error_profiled(model, scheme, mini().test_set, chip, 0.80, 3);
+      evaluator.run(ProfiledChipModel(chip, 0.80), mini().test_set, 3);
   EXPECT_GE(lo.mean_rerr, hi.mean_rerr - 0.02f);
   EXPECT_GT(lo.mean_rerr, 0.3f);  // 0.80 Vmin is ~2% bit errors: damaging
 }

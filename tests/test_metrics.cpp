@@ -7,6 +7,10 @@
 #include "core/rng.h"
 #include "data/shapes.h"
 #include "eval/metrics.h"
+#include "faults/evaluator.h"
+#include "faults/linf_noise_model.h"
+#include "faults/profiled_chip_model.h"
+#include "faults/random_bit_error_model.h"
 #include "models/factory.h"
 #include "nn/init.h"
 #include "nn/linear.h"
@@ -67,7 +71,8 @@ TEST(Metrics, RobustErrorZeroRateEqualsQuantizedError) {
   const QuantScheme scheme = QuantScheme::rquant(8);
   BitErrorConfig cfg;
   cfg.p = 0.0;
-  const RobustResult r = robust_error(*f.model, scheme, f.data, cfg, 3);
+  const RobustResult r = RobustnessEvaluator(*f.model, scheme)
+                             .run(RandomBitErrorModel(cfg), f.data, 3);
   const float qerr = test_error(*f.model, f.data, &scheme);
   EXPECT_EQ(r.per_chip.size(), 3u);
   for (float e : r.per_chip) EXPECT_EQ(e, qerr);
@@ -79,10 +84,14 @@ TEST(Metrics, RobustErrorDeterministicInSeeds) {
   const QuantScheme scheme = QuantScheme::rquant(8);
   BitErrorConfig cfg;
   cfg.p = 0.01;
-  const RobustResult a = robust_error(*f.model, scheme, f.data, cfg, 4, 500);
-  const RobustResult b = robust_error(*f.model, scheme, f.data, cfg, 4, 500);
+  const RobustnessEvaluator evaluator(*f.model, scheme);
+  const RobustResult a =
+      evaluator.run(RandomBitErrorModel(cfg, 500), f.data, 4);
+  const RobustResult b =
+      evaluator.run(RandomBitErrorModel(cfg, 500), f.data, 4);
   EXPECT_EQ(a.per_chip, b.per_chip);
-  const RobustResult c = robust_error(*f.model, scheme, f.data, cfg, 4, 501);
+  const RobustResult c =
+      evaluator.run(RandomBitErrorModel(cfg, 501), f.data, 4);
   EXPECT_NE(a.per_chip, c.per_chip);
 }
 
@@ -91,7 +100,8 @@ TEST(Metrics, RobustErrorLeavesModelUntouched) {
   const float before = f.model->params()[0]->value[0];
   BitErrorConfig cfg;
   cfg.p = 0.05;
-  robust_error(*f.model, QuantScheme::rquant(8), f.data, cfg, 2);
+  RobustnessEvaluator(*f.model, QuantScheme::rquant(8))
+      .run(RandomBitErrorModel(cfg), f.data, 2);
   EXPECT_EQ(f.model->params()[0]->value[0], before);
 }
 
@@ -103,8 +113,8 @@ TEST(Metrics, TrainedModelDegradesWithMassiveErrors) {
   Fixture f(200);
   BitErrorConfig heavy;
   heavy.p = 0.3;
-  const RobustResult r =
-      robust_error(*f.model, QuantScheme::rquant(8), f.data, heavy, 3);
+  const RobustResult r = RobustnessEvaluator(*f.model, QuantScheme::rquant(8))
+                             .run(RandomBitErrorModel(heavy), f.data, 3);
   EXPECT_GT(r.mean_rerr, 0.7f);
 }
 
@@ -113,8 +123,9 @@ TEST(Metrics, ProfiledChipEvaluation) {
   ProfiledChipConfig cc = ProfiledChipConfig::chip1();
   cc.rows = 512;
   ProfiledChip chip(cc);
-  const RobustResult at_vmin = robust_error_profiled(
-      *f.model, QuantScheme::rquant(8), f.data, chip, 1.0, 2);
+  const RobustResult at_vmin =
+      RobustnessEvaluator(*f.model, QuantScheme::rquant(8))
+          .run(ProfiledChipModel(chip, 1.0), f.data, 2);
   const float qerr = test_error(*f.model, f.data, nullptr);
   EXPECT_NEAR(at_vmin.mean_rerr, qerr, 0.1f);
   EXPECT_EQ(at_vmin.per_chip.size(), 2u);
@@ -123,13 +134,15 @@ TEST(Metrics, ProfiledChipEvaluation) {
 TEST(Metrics, LinfNoiseZeroEpsIsClean) {
   Fixture f(100);
   const float clean = test_error(*f.model, f.data);
-  const RobustResult r = linf_weight_noise_error(*f.model, f.data, 0.0, 3);
+  const RobustResult r =
+      RobustnessEvaluator(*f.model).run(LinfNoiseModel(0.0), f.data, 3);
   for (float e : r.per_chip) EXPECT_EQ(e, clean);
 }
 
 TEST(Metrics, LinfNoiseLargeEpsDegrades) {
   Fixture f(150);
-  const RobustResult r = linf_weight_noise_error(*f.model, f.data, 1.0, 3);
+  const RobustResult r =
+      RobustnessEvaluator(*f.model).run(LinfNoiseModel(1.0), f.data, 3);
   EXPECT_GT(r.mean_rerr, 0.5f);
 }
 
@@ -146,8 +159,8 @@ TEST(Metrics, SummaryStatsMeanStd) {
   Fixture f(100);
   BitErrorConfig cfg;
   cfg.p = 0.02;
-  const RobustResult r =
-      robust_error(*f.model, QuantScheme::rquant(8), f.data, cfg, 5);
+  const RobustResult r = RobustnessEvaluator(*f.model, QuantScheme::rquant(8))
+                             .run(RandomBitErrorModel(cfg), f.data, 5);
   double mean = 0.0;
   for (float e : r.per_chip) mean += e;
   mean /= 5.0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -131,6 +132,74 @@ TEST(ObsConcurrency, CountersAndGaugesExactUnderContention) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPer);
   const Histogram::Snapshot s = h.snapshot();
   EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kPer);
+}
+
+TEST(ObsConcurrency, RegistrationRacesWithHeldHandles) {
+  // Users each register one counter and then only touch the handle they
+  // hold; registrars keep growing the registry afterwards, so its entry
+  // table reallocates under them. Under TSan, any registry read that
+  // escapes the lock races with those reallocations. The start gate is a
+  // relaxed atomic on purpose: it orders the phases in time without
+  // creating the happens-before edge that would hide such a race.
+  obs::Registry reg;
+  constexpr int kRegistrars = 4, kUsers = 4, kKeys = 300, kAdds = 20000;
+  std::atomic<int> users_registered{0};
+  std::vector<obs::Counter*> held(kUsers, nullptr);
+  std::vector<std::thread> threads;
+  for (int u = 0; u < kUsers; ++u) {
+    threads.emplace_back([&, u] {
+      obs::Counter& c = reg.counter("held", {{"user", std::to_string(u)}});
+      held[static_cast<std::size_t>(u)] = &c;
+      users_registered.fetch_add(1, std::memory_order_relaxed);
+      for (int i = 0; i < kAdds; ++i) c.add(1);
+    });
+  }
+  for (int r = 0; r < kRegistrars; ++r) {
+    threads.emplace_back([&, r] {
+      while (users_registered.load(std::memory_order_relaxed) < kUsers) {
+        std::this_thread::yield();
+      }
+      for (int k = 0; k < kKeys; ++k) {
+        const obs::Labels labels = {{"r", std::to_string(r)},
+                                    {"k", std::to_string(k)}};
+        switch (k % 3) {
+          case 0: {
+            obs::Counter& c = reg.counter("reg.counter", labels);
+            c.add(1);
+            EXPECT_EQ(&reg.counter("reg.counter", labels), &c);
+            break;
+          }
+          case 1: {
+            obs::Gauge& g = reg.gauge("reg.gauge", labels);
+            g.set(static_cast<double>(k));
+            EXPECT_EQ(&reg.gauge("reg.gauge", labels), &g);
+            break;
+          }
+          default: {
+            obs::Histogram& h = reg.histogram("reg.histogram", labels);
+            h.record(static_cast<double>(k));
+            EXPECT_EQ(&reg.histogram("reg.histogram", labels), &h);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int u = 0; u < kUsers; ++u) {
+    EXPECT_EQ(held[static_cast<std::size_t>(u)],
+              &reg.counter("held", {{"user", std::to_string(u)}}));
+    EXPECT_EQ(held[static_cast<std::size_t>(u)]->value(),
+              static_cast<std::uint64_t>(kAdds));
+  }
+  const Json snap = reg.to_json();
+  EXPECT_EQ(snap.at("counters").size(),
+            static_cast<std::size_t>(kUsers + kRegistrars * (kKeys / 3)));
+  EXPECT_EQ(snap.at("gauges").size(),
+            static_cast<std::size_t>(kRegistrars * (kKeys / 3)));
+  EXPECT_EQ(snap.at("histograms").size(),
+            static_cast<std::size_t>(kRegistrars * (kKeys / 3)));
 }
 
 TEST(ObsGauge, SetMaxIsMonotone) {
