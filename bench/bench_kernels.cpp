@@ -6,8 +6,15 @@
 //                   rectangular case) for each backend, single-threaded, and
 //                   the blocked backend with intra-GEMM sharding. The
 //                   acceptance number is speedup_128 (blocked vs reference
-//                   at 128^3, one core): >= 3x.
+//                   at 128^3, one core): >= 3x; no CI step reads it. The
+//                   reference kernels are register-blocked too (bit-exact
+//                   with the seed loops), so the ratio measures cache
+//                   blocking, packing and wider vectors, not a naive loop.
 //   * gemm_variants — gemm_at / gemm_bt parity of the win at 128^3.
+//   * train_shapes — the 15 per-image GEMMs of SimpleNet w8 training on
+//                   12x12 inputs: for each conv, the forward gemm [out_c,
+//                   spatial, in*k*k], the weight-gradient gemm_bt and the
+//                   input-gradient gemm_at, reference vs blocked, one core.
 //   * conv        — forward latency at batch 8 on one core: reference
 //                   per-image lowering vs blocked per-image (same GEMM, old
 //                   lowering) vs blocked batch-coalesced (one im2col + one
@@ -29,6 +36,7 @@
 // carries the tile sizes and thread count so regressions are attributable.
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "ber.h"
@@ -144,6 +152,52 @@ int main() {
     bt_row.set("blocked_speedup", ref_bt / blk_bt);
     variants.push_back(std::move(bt_row));
     report.set("gemm_variants", std::move(variants));
+  }
+
+  // ---------------------------------------------------- train shapes ---
+  {
+    const GemmCase convs[] = {
+        {8, 144, 27}, {8, 144, 72}, {16, 36, 72}, {16, 36, 144}, {32, 9, 144}};
+    Json rows = Json::array();
+    for (const auto& [out_c, spatial, kk] : convs) {
+      Tensor w = Tensor::randn({out_c, kk}, rng);
+      Tensor col = Tensor::randn({kk, spatial}, rng);
+      Tensor go = Tensor::randn({out_c, spatial}, rng);
+      Tensor y({out_c, spatial}), dw({out_c, kk}), dcol({kk, spatial});
+      struct Variant {
+        const char* name;
+        long m, n, k;
+        std::function<void(const kernels::Backend&)> run;
+      };
+      const Variant variants[] = {
+          {"gemm", out_c, spatial, kk,
+           [&](const kernels::Backend& bk) {
+             bk.gemm(out_c, spatial, kk, 1.0f, w.data(), col.data(), 0.0f,
+                     y.data());
+           }},
+          {"gemm_bt", out_c, kk, spatial,
+           [&](const kernels::Backend& bk) {
+             bk.gemm_bt(out_c, kk, spatial, 1.0f, go.data(), col.data(), 1.0f,
+                        dw.data());
+           }},
+          {"gemm_at", kk, spatial, out_c,
+           [&](const kernels::Backend& bk) {
+             bk.gemm_at(kk, spatial, out_c, 1.0f, w.data(), go.data(), 0.0f,
+                        dcol.data());
+           }},
+      };
+      for (const Variant& v : variants) {
+        const double ref_sec = seconds_per_call([&] { v.run(ref); });
+        const double blk_sec = seconds_per_call([&] { v.run(blocked1); });
+        Json row = Json::object();
+        row.set("variant", v.name);
+        row.set("m", v.m).set("n", v.n).set("k", v.k);
+        row.set("reference_gflops", gflops(v.m, v.n, v.k, ref_sec));
+        row.set("blocked_gflops", gflops(v.m, v.n, v.k, blk_sec));
+        rows.push_back(std::move(row));
+      }
+    }
+    report.set("train_shapes", std::move(rows));
   }
 
   // ------------------------------------------------------------- conv ---

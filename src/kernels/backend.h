@@ -2,9 +2,11 @@
 // every forward/backward pass in the library.
 //
 // Two built-ins are always registered:
-//   reference — the original tensor/ops.h loops, kept bit-exact with the
-//               seed implementation. Paper benches and fixed-seed artifacts
-//               pin this backend so published numbers never shift.
+//   reference — the tensor/ops.h kernels: register-blocked, but bit-exact
+//               with the seed implementation's loops (tests/seed_ops.h;
+//               see tensor/ops.h for the contract). Training, paper benches
+//               and fixed-seed artifacts pin this backend so published
+//               numbers never shift.
 //   blocked   — cache-blocked, A/B-packed GEMM with an MR x NR register
 //               micro-kernel and batch-coalesced conv lowering; same math,
 //               different floating-point summation order (documented

@@ -1,6 +1,9 @@
 // Stateless shape/activation layers: ReLU and Flatten.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace ber {
@@ -19,7 +22,9 @@ class ReLU : public Layer {
   double last_active_fraction() const { return last_active_fraction_; }
 
  private:
-  Tensor mask_;  // 1 where x > 0
+  // Training forward's x > 0, one byte per element; backward multiplies
+  // the gradient by 1.0f or 0.0f from it.
+  std::vector<std::uint8_t> mask_;
   double last_active_fraction_ = 0.0;
 };
 

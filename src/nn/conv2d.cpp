@@ -52,33 +52,30 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
     if (cols_.shape() != want) cols_ = Tensor(want);
     kernels::conv2d_forward(bk, s, x.data(), weight_.value.data(), bias,
                             out.data(), &cols_);
-    input_ = x;
+    in_shape_ = x.shape();
   } else {
     // Inference: the column matrix lives in the thread-local arena, and any
     // stale training caches (e.g. copied in when a trained model was cloned
     // for an evaluation sweep or a serving replica) are released.
     kernels::conv2d_forward(bk, s, x.data(), weight_.value.data(), bias,
                             out.data(), nullptr);
-    if (input_.numel() != 0 || cols_.numel() != 0) {
-      input_ = Tensor();
-      cols_ = Tensor();
-    }
+    release_backward_caches();
   }
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  if (input_.dim() != 4) {
+  if (in_shape_.size() != 4) {
     throw std::logic_error("Conv2d::backward: no cached forward pass");
   }
   // conv2d_backward infers the cached lowering from cols_'s rank, so it is
   // safe (and numerically fine) if the current backend changed since
   // forward — no pointer to a possibly-dead backend is retained.
   const kernels::Backend& bk = kernels::current_backend();
-  const kernels::ConvShape s{input_.shape(0), in_channels_,  input_.shape(2),
-                             input_.shape(3), out_channels_, kernel_,
-                             stride_,         pad_};
-  Tensor grad_in(input_.shape());
+  const kernels::ConvShape s{in_shape_[0], in_channels_,  in_shape_[2],
+                             in_shape_[3], out_channels_, kernel_,
+                             stride_,      pad_};
+  Tensor grad_in(in_shape_);
   kernels::conv2d_backward(bk, s, cols_, grad_out.data(),
                            weight_.value.data(), weight_.grad.data(),
                            has_bias_ ? bias_.grad.data() : nullptr,
@@ -115,11 +112,13 @@ Tensor Conv2d::forward_on_codes(const Tensor& x, bool fuse_relu) {
   kernels::QEpilogue ep{has_bias_ ? bias_.value.data() : nullptr, fuse_relu};
   kernels::conv2d_forward_quant(bk, s, x.data(), wcodes_->view(), ep,
                                 out.data());
-  if (input_.numel() != 0 || cols_.numel() != 0) {  // as the float path
-    input_ = Tensor();
-    cols_ = Tensor();
-  }
+  release_backward_caches();  // as the float path
   return out;
+}
+
+void Conv2d::release_backward_caches() {
+  in_shape_.clear();
+  if (cols_.numel() != 0) cols_ = Tensor();
 }
 
 std::vector<Param*> Conv2d::params() {

@@ -38,12 +38,11 @@ class Conv2d : public Layer, public CodeComputeLayer {
   long out_channels() const { return out_channels_; }
   long kernel() const { return kernel_; }
 
-  // Bytes held by the backward caches (input + column matrix). Inference
-  // forwards release them — evaluation sweeps and serving replicas must not
+  // Bytes held by the backward cache (the column matrix). Inference
+  // forwards release it — evaluation sweeps and serving replicas must not
   // pin O(N*C*k^2*OH*OW) per layer; tested in test_kernels.cpp.
   long cached_bytes() const {
-    return static_cast<long>(sizeof(float)) *
-           (input_.numel() + cols_.numel());
+    return static_cast<long>(sizeof(float)) * cols_.numel();
   }
 
  private:
@@ -51,11 +50,15 @@ class Conv2d : public Layer, public CodeComputeLayer {
   bool has_bias_;
   Param weight_;  // [out, in, k, k]
   Param bias_;    // [out]
-  // Cached for backward (training mode only). cols_ layout depends on the
-  // backend that ran forward — [N, in*k*k, OH*OW] per-image, [in*k*k,
-  // N*OH*OW] coalesced — and backward infers the lowering from the rank,
-  // so forward and backward may legally run under different backends.
-  Tensor input_;
+  void release_backward_caches();
+
+  // Cached for backward (training mode only). Backward needs only the
+  // input's shape: the column matrix already holds every input value it
+  // reads. cols_ layout depends on the backend that ran forward —
+  // [N, in*k*k, OH*OW] per-image, [in*k*k, N*OH*OW] coalesced — and
+  // backward infers the lowering from the rank, so forward and backward may
+  // legally run under different backends.
+  std::vector<long> in_shape_;
   Tensor cols_;
   // Weight code store when compute-on-codes is active (deep-copied by
   // clone(), so replicas patch independent codes).

@@ -1,10 +1,30 @@
 // Reference compute kernels: GEMM, im2col/col2im and softmax utilities.
 //
-// The GEMM here is the bit-exact seed implementation — a cache-friendly ikj
-// loop — retained as the "reference" backend of src/kernels/ (the blocked,
-// packed backend lives in kernels/blocked_backend.*). Layers route through
-// kernels::current_backend(); these free functions stay as the determinism
-// anchor for paper benches and as the parity oracle in tests.
+// These are the "reference" backend of src/kernels/ (the blocked, packed
+// backend lives in kernels/blocked_backend.*) and the determinism anchor for
+// training, paper benches and fixed-seed artifacts. They are register-
+// blocked and bounds-hoisted, but bit-exact with the seed loops (kept in
+// tests/seed_ops.h and compared by memcmp): for every output element they
+// perform the same float operations, with the same roundings, in the same
+// order.
+//
+//   gemm, gemm_at  C is prepared by beta (zeroed for 0, scaled unless 1);
+//                  then for p ascending, av = alpha * A(i,p) is computed
+//                  first, the term is skipped if av == 0, and otherwise
+//                  C(i,j) += av * B(p,j).
+//   gemm_bt        C is prepared by beta the same way; acc = 0.0f, then
+//                  acc += A(i,p) * B(j,p) for p ascending with no skipping;
+//                  then C(i,j) += alpha * acc.
+//   col2im         every image element receives its addends in the seed's
+//                  (c, ki, kj, y) order.
+//
+// NaN results stay NaN, but their sign and payload may differ from the seed
+// build: x86 returns the first operand's NaN, and the compiler is free to
+// order the operands of + and *.
+//
+// ops.cpp must keep baseline codegen (no -march, target attributes or ISA
+// dispatch): with an FMA-capable target the compiler may fuse a multiply
+// and an add into one rounding, which would change the bits.
 #pragma once
 
 #include "tensor/tensor.h"

@@ -1,15 +1,24 @@
 // Tests for the src/kernels/ compute-backend subsystem: registry + env
 // selection, scratch arena reuse, blocked-vs-reference GEMM parity on
 // odd/edge shapes, threaded-GEMM determinism, batch-coalesced convolution
-// parity (forward and backward), per-model backend preferences, and the
-// inference-mode backward-cache release.
+// parity (forward and backward), per-model backend preferences, the
+// inference-mode backward-cache release, and bit-for-bit parity of the
+// reference kernels (GEMMs, conv lowering, ReLU, a whole RandBET training
+// run) with the seed loops in seed_ops.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "ber.h"
+#include "seed_ops.h"
 #include "test_util.h"
 
 namespace {
@@ -495,6 +504,296 @@ TEST(InferenceCaches, ConvAndLinearReleaseBackwardCaches) {
   linear.forward(xl, false);
   EXPECT_EQ(conv.cached_bytes(), 0);
   EXPECT_EQ(linear.cached_bytes(), 0);
+}
+
+// ------------------------------------ reference kernels vs seed loops ---
+
+// Byte equality, reporting the first differing element's bits on failure.
+::testing::AssertionResult same_bits(const std::vector<float>& got,
+                                     const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << got.size() << " vs " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, &got[i], sizeof g);
+    std::memcpy(&w, &want[i], sizeof w);
+    if (g != w) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "at %zu: %08x vs %08x", i, g, w);
+      return ::testing::AssertionFailure() << buf;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Replaces every NaN by one canonical quiet NaN. When two NaNs meet in an
+// addition, x86 returns the first operand's, and which operand comes first
+// is the compiler's choice (it treats + as commutative), so a NaN result's
+// sign and payload are not part of the seed's contract — only that it is
+// NaN.
+void canonicalize_nans(std::vector<float>& v) {
+  for (float& x : v) {
+    if (std::isnan(x)) x = std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
+// Operands for one exactness case. A has scattered exact zeros (+0 and -0)
+// plus whole "dead" reduction indices p where every A(i,p) is zero; B holds
+// +inf, -inf, NaN and -0 exactly on those dead rows. gemm and gemm_at skip
+// zero terms, so the specials must never reach C and the results must match
+// byte for byte. gemm_bt skips nothing: 0 * inf and 0 * NaN turn nearly
+// all of C into NaN, so it is checked byte for byte on bt_finite (the same
+// B^T with finite values on the dead rows) and, once NaNs are
+// canonicalized, on bt.
+struct GemmOperands {
+  std::vector<float> a, at, b, bt, bt_finite, c;
+};
+
+GemmOperands make_operands(long m, long n, long k, Rng& rng) {
+  GemmOperands o;
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(), -0.0f};
+  std::vector<bool> dead(static_cast<std::size_t>(k));
+  for (long p = 0; p < k; ++p) dead[p] = p % 5 == 2;
+  auto val = [&] { return rng.normal(); };
+  o.a.resize(static_cast<std::size_t>(m * k));
+  o.at.resize(o.a.size());
+  for (long i = 0; i < m; ++i) {
+    for (long p = 0; p < k; ++p) {
+      float v = val();
+      if (dead[p] || (i + 2 * p) % 7 == 0) v = (i + p) % 2 ? -0.0f : 0.0f;
+      o.a[i * k + p] = v;       // [m,k]
+      o.at[p * m + i] = v;      // [k,m]
+    }
+  }
+  o.b.resize(static_cast<std::size_t>(k * n));
+  o.bt.resize(o.b.size());
+  o.bt_finite.resize(o.b.size());
+  for (long p = 0; p < k; ++p) {
+    for (long j = 0; j < n; ++j) {
+      const float v = dead[p] ? specials[(p + j) % 4] : val();
+      o.b[p * n + j] = v;       // [k,n]
+      o.bt[j * k + p] = v;      // [n,k]
+      o.bt_finite[j * k + p] = dead[p] ? val() : v;
+    }
+  }
+  o.c.resize(static_cast<std::size_t>(m * n));
+  for (float& v : o.c) v = val();
+  return o;
+}
+
+// Runs all three variants through the library and the seed loops for every
+// alpha and beta, and requires identical bytes.
+void expect_gemms_match_seed(long m, long n, long k, Rng& rng) {
+  const GemmOperands o = make_operands(m, n, k, rng);
+  for (float alpha : {1.0f, -0.5f}) {
+    for (float beta : {0.0f, 1.0f, 0.25f}) {
+      std::vector<float> got = o.c, want = o.c;
+      gemm(m, n, k, alpha, o.a.data(), o.b.data(), beta, got.data());
+      test::seed::gemm(m, n, k, alpha, o.a.data(), o.b.data(), beta,
+                       want.data());
+      ASSERT_TRUE(same_bits(got, want)) << "gemm " << m << "x" << n << "x"
+                                        << k << " alpha=" << alpha
+                                        << " beta=" << beta;
+      got = o.c;
+      want = o.c;
+      gemm_at(m, n, k, alpha, o.at.data(), o.b.data(), beta, got.data());
+      test::seed::gemm_at(m, n, k, alpha, o.at.data(), o.b.data(), beta,
+                          want.data());
+      ASSERT_TRUE(same_bits(got, want)) << "gemm_at " << m << "x" << n << "x"
+                                        << k << " alpha=" << alpha
+                                        << " beta=" << beta;
+      got = o.c;
+      want = o.c;
+      gemm_bt(m, n, k, alpha, o.a.data(), o.bt_finite.data(), beta,
+              got.data());
+      test::seed::gemm_bt(m, n, k, alpha, o.a.data(), o.bt_finite.data(),
+                          beta, want.data());
+      ASSERT_TRUE(same_bits(got, want)) << "gemm_bt " << m << "x" << n << "x"
+                                        << k << " alpha=" << alpha
+                                        << " beta=" << beta << " finite";
+      got = o.c;
+      want = o.c;
+      gemm_bt(m, n, k, alpha, o.a.data(), o.bt.data(), beta, got.data());
+      test::seed::gemm_bt(m, n, k, alpha, o.a.data(), o.bt.data(), beta,
+                          want.data());
+      canonicalize_nans(got);
+      canonicalize_nans(want);
+      ASSERT_TRUE(same_bits(got, want)) << "gemm_bt " << m << "x" << n << "x"
+                                        << k << " alpha=" << alpha
+                                        << " beta=" << beta;
+    }
+  }
+}
+
+TEST(ReferenceKernels, GemmsMatchSeedLoopsOnAllSmallShapes) {
+  Rng rng(51);
+  for (long m = 1; m <= 17; ++m) {
+    for (long n = 1; n <= 17; ++n) {
+      for (long k = 1; k <= 17; ++k) {
+        expect_gemms_match_seed(m, n, k, rng);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ReferenceKernels, GemmsMatchSeedLoopsOnTrainingShapes) {
+  // SimpleNet w8 on 12x12 inputs, per image: conv forward is
+  // gemm(out_c, spatial, in*k*k); backward runs gemm_bt(out_c, in*k*k,
+  // spatial) and gemm_at(in*k*k, spatial, out_c). Each triple is run in all
+  // three variants and in its two backward orientations.
+  const GemmShape shapes[] = {
+      {8, 144, 27}, {8, 144, 72}, {16, 36, 72}, {16, 36, 144}, {32, 9, 144}};
+  Rng rng(52);
+  for (const GemmShape& s : shapes) {
+    expect_gemms_match_seed(s.m, s.n, s.k, rng);
+    expect_gemms_match_seed(s.m, s.k, s.n, rng);
+    expect_gemms_match_seed(s.k, s.n, s.m, rng);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ReferenceKernels, LoweringMatchesSeedLoops) {
+  Rng rng(53);
+  for (long ch : {1L, 3L}) {
+    for (long h : {1L, 2L, 5L, 7L, 12L}) {
+      for (long w : {1L, 3L, 6L, 12L}) {
+        for (long kk : {1L, 2L, 3L, 5L}) {
+          for (long stride : {1L, 2L, 3L}) {
+            for (long pad : {0L, 1L, 2L}) {
+              const long oh = conv_out_size(h, kk, stride, pad);
+              const long ow = conv_out_size(w, kk, stride, pad);
+              if (oh <= 0 || ow <= 0 || h + 2 * pad < kk || w + 2 * pad < kk) {
+                continue;
+              }
+              const long rows = ch * kk * kk, ld = oh * ow + 3;
+              std::vector<float> img(static_cast<std::size_t>(ch * h * w));
+              for (float& v : img) v = rng.normal();
+              std::vector<float> got(static_cast<std::size_t>(rows * ld),
+                                     7.0f);
+              std::vector<float> want = got;
+              im2col_ld(img.data(), ch, h, w, kk, kk, stride, pad, got.data(),
+                        ld);
+              test::seed::im2col_ld(img.data(), ch, h, w, kk, kk, stride, pad,
+                                    want.data(), ld);
+              ASSERT_TRUE(same_bits(got, want))
+                  << "im2col c" << ch << " " << h << "x" << w << " k" << kk
+                  << " s" << stride << " p" << pad;
+
+              // Accumulate into a non-zero image so the order of addends
+              // per element is visible in the rounding.
+              std::vector<float> col(static_cast<std::size_t>(rows * ld));
+              for (float& v : col) v = rng.normal();
+              std::vector<float> back = img, back_seed = img;
+              col2im_ld(col.data(), ch, h, w, kk, kk, stride, pad,
+                        back.data(), ld);
+              test::seed::col2im_ld(col.data(), ch, h, w, kk, kk, stride,
+                                    pad, back_seed.data(), ld);
+              ASSERT_TRUE(same_bits(back, back_seed))
+                  << "col2im c" << ch << " " << h << "x" << w << " k" << kk
+                  << " s" << stride << " p" << pad;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferenceKernels, ReluByteMaskMatchesFloatMaskFormula) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> xs{1.5f, -2.0f, 0.0f, -0.0f, inf, -inf, nan, 3e-39f};
+  const std::vector<float> gs{-1.0f, -0.0f, inf, -inf, nan, 2.0f, -3.0f, 0.5f};
+  std::vector<float> x, g;
+  for (float xv : xs) {
+    for (float gv : gs) {
+      x.push_back(xv);
+      g.push_back(gv);
+    }
+  }
+  const long n = static_cast<long>(x.size());
+  ReLU relu;
+  const Tensor y = relu.forward(Tensor::from_data({n}, x), /*training=*/true);
+  const Tensor gi = relu.backward(Tensor::from_data({n}, g));
+  std::vector<float> y_want(x.size()), g_want(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    // The seed: y = x > 0 ? x : 0, mask = x > 0 ? 1.0f : 0.0f, g *= mask.
+    const float mask = x[i] > 0.0f ? 1.0f : 0.0f;
+    y_want[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    g_want[i] = g[i] * mask;
+  }
+  EXPECT_TRUE(same_bits({y.data(), y.data() + n}, y_want));
+  ASSERT_TRUE(same_bits({gi.data(), gi.data() + n}, g_want));
+  // The float-mask formula yields -0 and NaN where a select would give +0.
+  EXPECT_TRUE(std::signbit(gi[1 * 8 + 0]));  // x = -2, g = -1
+  EXPECT_TRUE(std::isnan(gi[1 * 8 + 2]));    // x = -2, g = inf
+  EXPECT_THROW(relu.backward(Tensor::zeros({n + 1})), std::logic_error);
+}
+
+// The seed loops as a compute backend, so a whole training run can be
+// replayed against them.
+class SeedReferenceBackend final : public Backend {
+ public:
+  std::string name() const override { return "seed_reference"; }
+  void gemm(long m, long n, long k, float alpha, const float* a,
+            const float* b, float beta, float* c) const override {
+    test::seed::gemm(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_at(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    test::seed::gemm_at(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_bt(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    test::seed::gemm_bt(m, n, k, alpha, a, b, beta, c);
+  }
+};
+
+TEST(ReferenceKernels, RandBETTrainingMatchesSeedLoopsBitForBit) {
+  const auto names = kernels::backend_names();
+  if (std::find(names.begin(), names.end(), "seed_reference") == names.end()) {
+    kernels::register_backend(std::make_unique<SeedReferenceBackend>());
+  }
+  SyntheticConfig dc = SyntheticConfig::cifar10();
+  dc.n_train = 100;
+  dc.n_test = 50;
+  const Dataset train_set = make_synthetic(dc, true);
+  const Dataset test_set = make_synthetic(dc, false);
+  ModelConfig mc;
+  mc.width = 8;
+  TrainConfig tc;
+  tc.method = Method::kRandBET;
+  tc.epochs = 2;
+  tc.batch_size = 50;
+  tc.wmax = 0.15f;
+  tc.p_train = 0.01;
+  tc.bit_error_loss_threshold = 100.0f;  // inject from the second epoch
+
+  auto fast = build_model(mc);
+  auto seed = build_model(mc);
+  tc.backend = "reference";
+  const TrainStats s_fast = train(*fast, train_set, test_set, tc);
+  tc.backend = "seed_reference";
+  const TrainStats s_seed = train(*seed, train_set, test_set, tc);
+
+  EXPECT_EQ(s_fast.bit_error_start_epoch, 1);
+  EXPECT_EQ(s_fast.epoch_loss, s_seed.epoch_loss);
+  EXPECT_EQ(s_fast.final_test_err, s_seed.final_test_err);
+  const auto pf = fast->params();
+  const auto ps = seed->params();
+  ASSERT_EQ(pf.size(), ps.size());
+  for (std::size_t i = 0; i < pf.size(); ++i) {
+    ASSERT_EQ(pf[i]->value.numel(), ps[i]->value.numel());
+    EXPECT_EQ(std::memcmp(pf[i]->value.data(), ps[i]->value.data(),
+                          sizeof(float) * pf[i]->value.numel()),
+              0)
+        << pf[i]->name << " (parameter " << i << ")";
+  }
 }
 
 }  // namespace
