@@ -42,17 +42,20 @@ std::size_t Arena::used() const {
   return total;
 }
 
-ArenaScope::ArenaScope(Arena& arena) : arena_(arena) {
-  saved_used_.reserve(arena_.chunks_.size());
-  for (const Arena::Chunk& c : arena_.chunks_) saved_used_.push_back(c.used);
+ArenaScope::ArenaScope(Arena& arena)
+    : arena_(arena),
+      base_(arena.marks_.size()),
+      chunks_(arena.chunks_.size()) {
+  for (const Arena::Chunk& c : arena_.chunks_) arena_.marks_.push_back(c.used);
 }
 
 ArenaScope::~ArenaScope() {
   // Chunks present at entry rewind to their watermark; chunks added inside
   // the scope become fully reusable.
   for (std::size_t i = 0; i < arena_.chunks_.size(); ++i) {
-    arena_.chunks_[i].used = i < saved_used_.size() ? saved_used_[i] : 0;
+    arena_.chunks_[i].used = i < chunks_ ? arena_.marks_[base_ + i] : 0;
   }
+  arena_.marks_.resize(base_);
 }
 
 Arena& tls_arena() {

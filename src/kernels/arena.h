@@ -58,10 +58,15 @@ class Arena {
     std::size_t used = 0;
   };
   std::vector<Chunk> chunks_;
+  // Per-chunk watermarks of the open ArenaScopes, innermost last. Its
+  // capacity only grows, so a scope allocates nothing once it has converged.
+  std::vector<std::size_t> marks_;
 };
 
 // RAII watermark: allocations made after construction are released (made
-// reusable) on destruction. Scopes must nest like a stack.
+// reusable) on destruction. Scopes must nest like a stack. The watermarks
+// live on the arena's own stack, so a scope performs no heap allocation
+// after warm-up.
 class ArenaScope {
  public:
   explicit ArenaScope(Arena& arena);
@@ -71,7 +76,8 @@ class ArenaScope {
 
  private:
   Arena& arena_;
-  std::vector<std::size_t> saved_used_;  // per-chunk watermark at entry
+  std::size_t base_;    // this scope's first entry in arena_.marks_
+  std::size_t chunks_;  // chunks present at entry
 };
 
 // The calling thread's scratch arena.

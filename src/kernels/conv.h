@@ -4,7 +4,18 @@
 //
 //   per-image  — the seed path: for each image, im2col to [C*k*k, OH*OW]
 //                and one GEMM. Bit-exact with the original Conv2d loops
-//                under the reference backend.
+//                under the reference backend. In training mode the batch
+//                runs as min(default_threads(), N) contiguous image shards
+//                through parallel_for (one shard, on the calling thread,
+//                inside a parallel worker or at BER_THREADS=1). Each image's
+//                lowering, GEMMs and col2im touch only its own slices; the
+//                cross-image sums dW += addend_i and db += addend_i stay in
+//                the seed's ascending image order: shard 0 adds onto the
+//                gradients directly, later images write their addends into
+//                -0.0f-prefilled slots of the caller's backward scratch, and
+//                the calling thread adds the slots after the join. Every
+//                output bit is the serial loop's at any thread count, and
+//                workers allocate nothing.
 //   coalesced  — ONE column matrix [C*k*k, N*OH*OW] (image i occupies
 //                columns [i*OH*OW, (i+1)*OH*OW)) and ONE GEMM for the whole
 //                batch, so dynamic batching pays even on a single core: the
@@ -61,9 +72,14 @@ void conv2d_forward_quant(const Backend& bk, const ConvShape& s,
 // Backward: cols is the cache written by forward (layout inferred from its
 // rank), grad_out [N, out_c, OH, OW]. Accumulates into grad_weight /
 // grad_bias (grad_bias may be null); writes grad_in [N, in_c, H, W], which
-// must be pre-zeroed by the caller.
+// must be pre-zeroed by the caller. scratch holds the per-image lowering's
+// shard buffers (one dcol per shard, the dW/db addend slots) and is grown
+// here, on the calling thread, when a call needs more; keep it across
+// steps (Conv2d holds one per layer and frees it with the column cache).
+// The coalesced lowering leaves it untouched.
 void conv2d_backward(const Backend& bk, const ConvShape& s, const Tensor& cols,
                      const float* grad_out, const float* weight,
-                     float* grad_weight, float* grad_bias, float* grad_in);
+                     float* grad_weight, float* grad_bias, float* grad_in,
+                     Tensor& scratch);
 
 }  // namespace ber::kernels

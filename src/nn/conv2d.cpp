@@ -79,7 +79,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   kernels::conv2d_backward(bk, s, cols_, grad_out.data(),
                            weight_.value.data(), weight_.grad.data(),
                            has_bias_ ? bias_.grad.data() : nullptr,
-                           grad_in.data());
+                           grad_in.data(), grad_scratch_);
   return grad_in;
 }
 
@@ -119,6 +119,7 @@ Tensor Conv2d::forward_on_codes(const Tensor& x, bool fuse_relu) {
 void Conv2d::release_backward_caches() {
   in_shape_.clear();
   if (cols_.numel() != 0) cols_ = Tensor();
+  if (grad_scratch_.numel() != 0) grad_scratch_ = Tensor();
 }
 
 std::vector<Param*> Conv2d::params() {

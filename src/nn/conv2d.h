@@ -38,11 +38,13 @@ class Conv2d : public Layer, public CodeComputeLayer {
   long out_channels() const { return out_channels_; }
   long kernel() const { return kernel_; }
 
-  // Bytes held by the backward cache (the column matrix). Inference
-  // forwards release it — evaluation sweeps and serving replicas must not
-  // pin O(N*C*k^2*OH*OW) per layer; tested in test_kernels.cpp.
+  // Bytes held by the backward cache (the column matrix and the backward
+  // scratch). Inference forwards release it — evaluation sweeps and serving
+  // replicas must not pin O(N*C*k^2*OH*OW) per layer; tested in
+  // test_kernels.cpp.
   long cached_bytes() const {
-    return static_cast<long>(sizeof(float)) * cols_.numel();
+    return static_cast<long>(sizeof(float)) *
+           (cols_.numel() + grad_scratch_.numel());
   }
 
  private:
@@ -60,6 +62,9 @@ class Conv2d : public Layer, public CodeComputeLayer {
   // legally run under different backends.
   std::vector<long> in_shape_;
   Tensor cols_;
+  // Backward's batch-shard buffers (kernels::conv2d_backward), reused
+  // across steps.
+  Tensor grad_scratch_;
   // Weight code store when compute-on-codes is active (deep-copied by
   // clone(), so replicas patch independent codes).
   std::optional<QuantWeightStore> wcodes_;

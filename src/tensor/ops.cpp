@@ -38,24 +38,36 @@ void apply_beta(long m, long n, float beta, float* c) {
   }
 }
 
-// Per-thread packing scratch: evaluator and serving workers call the GEMMs
-// concurrently. Capacity is kept across calls.
+// Packing scratch for one GEMM call. Reductions up to kStackK long pack on
+// the stack, so those GEMMs allocate nothing on any thread: conv batch
+// shards call them on freshly spawned workers (kernels/conv.h). Longer
+// reductions use a per-thread heap buffer whose capacity is kept across
+// calls.
+constexpr long kStackK = 2048;
+
 struct PackScratch {
-  std::vector<float> a, edge;
-  std::vector<unsigned char> sparse;
+  float* a;
+  unsigned char* sparse;
+  float* edge;
 };
 
-PackScratch& pack_scratch() {
-  thread_local PackScratch s;
-  return s;
-}
+struct StackPack {
+  float a[4 * kStackK];
+  unsigned char sparse[kStackK];
+  float edge[4 * kStackK];
+};
 
-template <typename T>
-T* grow(std::vector<T>& buf, long n) {
-  if (buf.size() < static_cast<std::size_t>(n)) {
-    buf.resize(static_cast<std::size_t>(n));
+PackScratch pack_scratch(long k, StackPack& local) {
+  if (k <= kStackK) return {local.a, local.sparse, local.edge};
+  thread_local std::vector<float> a, edge;
+  thread_local std::vector<unsigned char> sparse;
+  const auto n = static_cast<std::size_t>(k);
+  if (sparse.size() < n) {
+    a.resize(4 * n);
+    edge.resize(4 * n);
+    sparse.resize(n);
   }
-  return buf.data();
+  return {a.data(), sparse.data(), edge.data()};
 }
 
 // Packs scale * A(i + r, p), A(i,p) = a[i*rs + p*ps], for the mr <= 4 rows
@@ -112,9 +124,10 @@ void tile_skip(long k, const float* ap, const unsigned char* sparse, int mr,
 // B's and C's edge (lanes never mix, so the padding lanes are dropped).
 void gemm_skip(long m, long n, long k, float alpha, const float* a, long rs,
                long ps, const float* b, float* c) {
-  PackScratch& scratch = pack_scratch();
-  float* ap = grow(scratch.a, k * 4);
-  unsigned char* sparse = grow(scratch.sparse, k);
+  StackPack local;
+  const PackScratch scratch = pack_scratch(k, local);
+  float* ap = scratch.a;
+  unsigned char* sparse = scratch.sparse;
   for (long i = 0; i < m; i += 4) {
     const int mr = static_cast<int>(std::min(4L, m - i));
     pack_rows(k, mr, alpha, a + i * rs, rs, ps, ap);
@@ -133,7 +146,7 @@ void gemm_skip(long m, long n, long k, float alpha, const float* a, long rs,
     }
     const long nc = n - j;
     if (nc == 0) continue;
-    float* be = grow(scratch.edge, k * 4);
+    float* be = scratch.edge;
     for (long p = 0; p < k; ++p) {
       for (long jj = 0; jj < 4; ++jj) {
         be[p * 4 + jj] = jj < nc ? b[p * n + j + jj] : 0.0f;
@@ -188,7 +201,8 @@ void gemm_at(long m, long n, long k, float alpha, const float* a,
 void gemm_bt(long m, long n, long k, float alpha, const float* a,
              const float* b, float beta, float* c) {
   apply_beta(m, n, beta, c);
-  float* ap = grow(pack_scratch().a, k * 4);
+  StackPack local;
+  float* ap = pack_scratch(k, local).a;
   for (long i = 0; i < m; i += 4) {
     const int mr = static_cast<int>(std::min(4L, m - i));
     pack_rows(k, mr, 1.0f, a + i * k, /*rs=*/k, /*ps=*/1, ap);

@@ -1,12 +1,15 @@
-// The seed implementation's GEMM and conv-lowering loops, kept verbatim as
-// the bit-exactness oracle for tensor/ops.h. The library's versions are
-// register-blocked and bounds-hoisted; for every output element they must
-// perform these loops' float operations in the same order, so tests compare
-// the two by memcmp.
+// The seed implementation's GEMM, conv-lowering and Conv2d loops, kept
+// verbatim as the bit-exactness oracle for tensor/ops.h and kernels/conv.h.
+// The library's versions are register-blocked, bounds-hoisted and sharded
+// over images; for every output element they must perform these loops'
+// float operations in the same order, so tests compare the two by memcmp.
 #pragma once
 
 #include <cstring>
+#include <vector>
 
+#include "kernels/backend.h"
+#include "kernels/conv.h"
 #include "tensor/ops.h"
 
 namespace ber::test::seed {
@@ -121,6 +124,54 @@ inline void col2im_ld(const float* col, long channels, long height,
         }
       }
     }
+  }
+}
+
+// The seed Conv2d forward in training mode, one image after another, with
+// bk's GEMM: im2col into cols [N, C*k*k, OH*OW], GEMM, bias.
+inline void conv2d_forward(const kernels::Backend& bk,
+                           const kernels::ConvShape& s, const float* x,
+                           const float* weight, const float* bias, float* y,
+                           float* cols) {
+  const long k = s.cols_k(), spatial = s.spatial();
+  for (long i = 0; i < s.n; ++i) {
+    float* col = cols + i * k * spatial;
+    im2col_ld(x + i * s.in_c * s.h * s.w, s.in_c, s.h, s.w, s.kernel,
+              s.kernel, s.stride, s.pad, col, spatial);
+    float* yi = y + i * s.out_c * spatial;
+    bk.gemm(s.out_c, spatial, k, 1.0f, weight, col, 0.0f, yi);
+    if (bias) {
+      for (long c = 0; c < s.out_c; ++c) {
+        for (long p = 0; p < spatial; ++p) yi[c * spatial + p] += bias[c];
+      }
+    }
+  }
+}
+
+// The seed Conv2d backward, one image after another, with bk's GEMMs: each
+// image's dW and db addends go straight onto grad_weight / grad_bias, in
+// ascending image order. grad_in must be zeroed by the caller.
+inline void conv2d_backward(const kernels::Backend& bk,
+                            const kernels::ConvShape& s, const float* cols,
+                            const float* grad_out, const float* weight,
+                            float* grad_weight, float* grad_bias,
+                            float* grad_in) {
+  const long k = s.cols_k(), spatial = s.spatial();
+  std::vector<float> grad_col(static_cast<std::size_t>(k * spatial));
+  for (long i = 0; i < s.n; ++i) {
+    const float* go = grad_out + i * s.out_c * spatial;
+    bk.gemm_bt(s.out_c, k, spatial, 1.0f, go, cols + i * k * spatial, 1.0f,
+               grad_weight);
+    if (grad_bias) {
+      for (long c = 0; c < s.out_c; ++c) {
+        float acc = 0.0f;
+        for (long p = 0; p < spatial; ++p) acc += go[c * spatial + p];
+        grad_bias[c] += acc;
+      }
+    }
+    bk.gemm_at(k, spatial, s.out_c, 1.0f, weight, go, 0.0f, grad_col.data());
+    col2im_ld(grad_col.data(), s.in_c, s.h, s.w, s.kernel, s.kernel, s.stride,
+              s.pad, grad_in + i * s.in_c * s.h * s.w, spatial);
   }
 }
 

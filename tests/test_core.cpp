@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "core/env.h"
 #include "core/hash.h"
@@ -150,6 +151,18 @@ TEST(Parallel, MoreThreadsThanWork) {
   std::vector<std::atomic<int>> hits(3);
   parallel_for(3, 16, [&](std::int64_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, WorkerExceptionReachesTheCallerAfterTheJoin) {
+  std::atomic<int> done{0};
+  // Chunks {0,1} {2,3} {4,5} {6,7}: index 5 throws after 4 finished.
+  EXPECT_THROW(parallel_for(8, 4,
+                            [&](std::int64_t i) {
+                              if (i == 5) throw std::runtime_error("index 5");
+                              done++;
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(done.load(), 7);
 }
 
 TEST(Serialize, RoundTrip) {

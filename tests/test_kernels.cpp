@@ -8,18 +8,39 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ber.h"
 #include "seed_ops.h"
 #include "test_util.h"
+
+// Counting global operator new: heap allocations in this process, and those
+// made on parallel_for workers (core/parallel.h).
+namespace {
+std::atomic<long> g_heap_allocs{0};
+std::atomic<long> g_worker_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (ber::in_parallel_worker()) {
+    g_worker_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -490,6 +511,9 @@ TEST(InferenceCaches, ConvAndLinearReleaseBackwardCaches) {
 
   conv.forward(x, true);
   linear.forward(xl, true);
+  // Under a per-image backend, backward also leaves its shard scratch.
+  conv.backward(Tensor::randn({6, 8, 8, 8}, rng));
+  conv.forward(x, true);
   EXPECT_GT(conv.cached_bytes(), 0);
   EXPECT_GT(linear.cached_bytes(), 0);
 
@@ -754,16 +778,32 @@ class SeedReferenceBackend final : public Backend {
   }
 };
 
-TEST(ReferenceKernels, RandBETTrainingMatchesSeedLoopsBitForBit) {
-  const auto names = kernels::backend_names();
-  if (std::find(names.begin(), names.end(), "seed_reference") == names.end()) {
-    kernels::register_backend(std::make_unique<SeedReferenceBackend>());
+// Sets BER_THREADS for one scope and restores it afterwards.
+struct ThreadsEnv {
+  std::string prev;
+  bool had;
+  explicit ThreadsEnv(int n) {
+    const char* e = std::getenv("BER_THREADS");
+    had = e != nullptr;
+    if (e) prev = e;
+    setenv("BER_THREADS", std::to_string(n).c_str(), 1);
   }
+  ~ThreadsEnv() {
+    if (had) {
+      setenv("BER_THREADS", prev.c_str(), 1);
+    } else {
+      unsetenv("BER_THREADS");
+    }
+  }
+};
+
+// Two epochs of RandBET on a width-8 SimpleNet under `backend`, injecting
+// from the second epoch.
+std::unique_ptr<Sequential> train_small_randbet(const std::string& backend,
+                                                TrainStats* stats) {
   SyntheticConfig dc = SyntheticConfig::cifar10();
   dc.n_train = 100;
   dc.n_test = 50;
-  const Dataset train_set = make_synthetic(dc, true);
-  const Dataset test_set = make_synthetic(dc, false);
   ModelConfig mc;
   mc.width = 8;
   TrainConfig tc;
@@ -773,27 +813,234 @@ TEST(ReferenceKernels, RandBETTrainingMatchesSeedLoopsBitForBit) {
   tc.wmax = 0.15f;
   tc.p_train = 0.01;
   tc.bit_error_loss_threshold = 100.0f;  // inject from the second epoch
+  tc.backend = backend;
+  auto model = build_model(mc);
+  *stats = train(*model, make_synthetic(dc, true), make_synthetic(dc, false),
+                 tc);
+  return model;
+}
 
-  auto fast = build_model(mc);
-  auto seed = build_model(mc);
-  tc.backend = "reference";
-  const TrainStats s_fast = train(*fast, train_set, test_set, tc);
-  tc.backend = "seed_reference";
-  const TrainStats s_seed = train(*seed, train_set, test_set, tc);
-
-  EXPECT_EQ(s_fast.bit_error_start_epoch, 1);
-  EXPECT_EQ(s_fast.epoch_loss, s_seed.epoch_loss);
-  EXPECT_EQ(s_fast.final_test_err, s_seed.final_test_err);
-  const auto pf = fast->params();
-  const auto ps = seed->params();
-  ASSERT_EQ(pf.size(), ps.size());
-  for (std::size_t i = 0; i < pf.size(); ++i) {
-    ASSERT_EQ(pf[i]->value.numel(), ps[i]->value.numel());
-    EXPECT_EQ(std::memcmp(pf[i]->value.data(), ps[i]->value.data(),
-                          sizeof(float) * pf[i]->value.numel()),
+// Same losses, test error and parameter bytes.
+void expect_same_training(Sequential& a_model, const TrainStats& a,
+                          Sequential& b_model, const TrainStats& b) {
+  EXPECT_EQ(a.bit_error_start_epoch, 1);
+  EXPECT_EQ(a.epoch_loss, b.epoch_loss);
+  EXPECT_EQ(a.final_test_err, b.final_test_err);
+  const auto pa = a_model.params();
+  const auto pb = b_model.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i]->value.numel(), pb[i]->value.numel());
+    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
+                          sizeof(float) * pa[i]->value.numel()),
               0)
-        << pf[i]->name << " (parameter " << i << ")";
+        << pa[i]->name << " (parameter " << i << ")";
   }
+}
+
+TEST(ReferenceKernels, RandBETTrainingMatchesSeedLoopsBitForBit) {
+  const auto names = kernels::backend_names();
+  if (std::find(names.begin(), names.end(), "seed_reference") == names.end()) {
+    kernels::register_backend(std::make_unique<SeedReferenceBackend>());
+  }
+  TrainStats s_fast, s_seed;
+  const auto fast = train_small_randbet("reference", &s_fast);
+  const auto seed = train_small_randbet("seed_reference", &s_seed);
+  expect_same_training(*fast, s_fast, *seed, s_seed);
+}
+
+// The seed loops, except that gemm_bt sums each dot product from -0.0f:
+// an all -0 grad_out over non-negative columns then gives a -0 dW addend,
+// which a partial slot prefilled with +0 would turn into +0 (and so flip a
+// -0 gradient). Under the reference GEMM every addend sums from +0 and is
+// never -0, so only a backend like this one tells the two prefills apart.
+class NegZeroDotBackend final : public Backend {
+ public:
+  std::string name() const override { return "neg_zero_dot"; }
+  void gemm(long m, long n, long k, float alpha, const float* a,
+            const float* b, float beta, float* c) const override {
+    test::seed::gemm(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_at(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    test::seed::gemm_at(m, n, k, alpha, a, b, beta, c);
+  }
+  void gemm_bt(long m, long n, long k, float alpha, const float* a,
+               const float* b, float beta, float* c) const override {
+    if (beta == 0.0f) {
+      std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m * n));
+    } else if (beta != 1.0f) {
+      for (long i = 0; i < m * n; ++i) c[i] *= beta;
+    }
+    for (long i = 0; i < m; ++i) {
+      for (long j = 0; j < n; ++j) {
+        float acc = -0.0f;
+        for (long p = 0; p < k; ++p) acc += a[i * k + p] * b[j * k + p];
+        c[i * n + j] += alpha * acc;
+      }
+    }
+  }
+};
+
+struct SeedConvCase {
+  kernels::ConvShape s;
+  std::vector<float> x, w, b, go, dw0, db0;
+};
+
+// Runs kernels::conv2d_forward (training mode) and conv2d_backward under bk
+// and the serial seed loops under seed_bk, and compares y, the column cache,
+// dW, db and grad_in by memcmp.
+::testing::AssertionResult conv_matches_seed(const Backend& bk,
+                                             const Backend& seed_bk,
+                                             const SeedConvCase& c) {
+  const kernels::ConvShape& s = c.s;
+  const long k = s.cols_k(), spatial = s.spatial();
+  const auto sz = [](long n) { return static_cast<std::size_t>(n); };
+  Tensor cols({s.n, k, spatial});
+  std::vector<float> y(sz(s.n * s.out_c * spatial));
+  std::vector<float> y_seed = y, cols_seed(sz(s.n * k * spatial));
+  kernels::conv2d_forward(bk, s, c.x.data(), c.w.data(), c.b.data(), y.data(),
+                          &cols);
+  test::seed::conv2d_forward(seed_bk, s, c.x.data(), c.w.data(), c.b.data(),
+                             y_seed.data(), cols_seed.data());
+  std::vector<float> dw = c.dw0, db = c.db0, dw_seed = c.dw0, db_seed = c.db0;
+  std::vector<float> gi(sz(s.n * s.in_c * s.h * s.w), 0.0f), gi_seed = gi;
+  Tensor scratch;
+  kernels::conv2d_backward(bk, s, cols, c.go.data(), c.w.data(), dw.data(),
+                           db.data(), gi.data(), scratch);
+  test::seed::conv2d_backward(seed_bk, s, cols_seed.data(), c.go.data(),
+                              c.w.data(), dw_seed.data(), db_seed.data(),
+                              gi_seed.data());
+  std::vector<float> cols_got(cols.data(), cols.data() + cols.numel());
+  for (const auto& [what, got, want] :
+       {std::tuple{"y", &y, &y_seed}, std::tuple{"cols", &cols_got, &cols_seed},
+        std::tuple{"dW", &dw, &dw_seed}, std::tuple{"db", &db, &db_seed},
+        std::tuple{"grad_in", &gi, &gi_seed}}) {
+    if (auto r = same_bits(*got, *want); !r) return r << " in " << what;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ReferenceKernels, ShardedConvMatchesSerialSeedLoopAtAnyThreadCount) {
+  const Backend& ref = kernels::backend("reference");
+  const SeedReferenceBackend seed_bk;
+  const NegZeroDotBackend neg_zero;
+  Rng rng(54);
+  for (long n : {1L, 5L, 50L}) {
+    for (const kernels::ConvShape& shape :
+         {kernels::ConvShape{n, 3, 7, 6, 4, 3, 1, 1},
+          kernels::ConvShape{n, 2, 9, 9, 5, 3, 2, 0}}) {
+      SeedConvCase c{shape, {}, {}, {}, {}, {}, {}};
+      const kernels::ConvShape& s = c.s;
+      const auto fill = [&](std::vector<float>& v, long count) {
+        v.resize(static_cast<std::size_t>(count));
+        for (float& e : v) e = rng.normal();
+      };
+      fill(c.x, s.n * s.in_c * s.h * s.w);
+      fill(c.w, s.out_c * s.cols_k());
+      fill(c.b, s.out_c);
+      fill(c.go, s.n * s.out_c * s.spatial());
+      fill(c.dw0, s.out_c * s.cols_k());
+      fill(c.db0, s.out_c);
+      c.dw0[0] = -0.0f;
+      c.db0[0] = -0.0f;
+      // Image 1 sends back only -0.
+      if (s.n > 1) {
+        const long plane = s.out_c * s.spatial();
+        std::fill(c.go.begin() + plane, c.go.begin() + 2 * plane, -0.0f);
+      }
+      // Non-negative inputs, an all -0 grad_out and all -0 gradients: every
+      // addend under neg_zero is -0, so every gradient bit must stay -0.
+      SeedConvCase z = c;
+      for (float& v : z.x) v = std::abs(v);
+      std::fill(z.go.begin(), z.go.end(), -0.0f);
+      std::fill(z.dw0.begin(), z.dw0.end(), -0.0f);
+      std::fill(z.db0.begin(), z.db0.end(), -0.0f);
+      for (int threads : {1, 2, 3, 4, 7}) {
+        const ThreadsEnv env(threads);
+        ASSERT_TRUE(conv_matches_seed(ref, seed_bk, c))
+            << "n=" << n << " stride=" << s.stride << " threads=" << threads;
+        ASSERT_TRUE(conv_matches_seed(neg_zero, neg_zero, z))
+            << "neg-zero n=" << n << " stride=" << s.stride
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ReferenceKernels, RandBETTrainingIsBitIdenticalAcrossThreadCounts) {
+  TrainStats s1, s4;
+  std::unique_ptr<Sequential> serial, sharded;
+  {
+    const ThreadsEnv env(1);
+    serial = train_small_randbet("reference", &s1);
+  }
+  {
+    const ThreadsEnv env(4);
+    sharded = train_small_randbet("reference", &s4);
+  }
+  expect_same_training(*serial, s1, *sharded, s4);
+}
+
+TEST(Arena, WarmScopesAndInferenceConvAllocateNothing) {
+  const kernels::ScopedBackend pin("reference");
+  kernels::Arena& arena = kernels::tls_arena();
+  const auto scoped_alloc = [&] {
+    kernels::ArenaScope outer(arena);
+    arena.alloc(1000);
+    kernels::ArenaScope inner(arena);
+    arena.alloc(5000);
+  };
+  scoped_alloc();
+  long before = g_heap_allocs.load();
+  for (int i = 0; i < 100; ++i) scoped_alloc();
+  EXPECT_EQ(g_heap_allocs.load() - before, 0) << "per 100 warmed scopes";
+
+  Rng rng(55);
+  Conv2d conv(3, 8, 3);
+  for (Param* p : conv.params()) {
+    for (long i = 0; i < p->value.numel(); ++i) p->value[i] = rng.normal();
+  }
+  const Tensor x = Tensor::randn({4, 3, 12, 12}, rng);
+  const kernels::ConvShape s{4, 3, 12, 12, 8, 3, 1, 1};
+  std::vector<float> y(static_cast<std::size_t>(4 * 8 * s.spatial()));
+  const float* w = conv.params()[0]->value.data();
+  for (int i = 0; i < 2; ++i) {
+    conv.forward(x, /*training=*/false);
+    kernels::conv2d_forward(kernels::current_backend(), s, x.data(), w,
+                            nullptr, y.data(), nullptr);
+  }
+  before = g_heap_allocs.load();
+  kernels::conv2d_forward(kernels::current_backend(), s, x.data(), w, nullptr,
+                          y.data(), nullptr);
+  EXPECT_EQ(g_heap_allocs.load() - before, 0) << "kernels::conv2d_forward";
+  // Conv2d::forward allocates its output tensor and nothing else.
+  before = g_heap_allocs.load();
+  { const Tensor out({4, 8, 12, 12}); }
+  const long tensor_allocs = g_heap_allocs.load() - before;
+  before = g_heap_allocs.load();
+  conv.forward(x, /*training=*/false);
+  EXPECT_EQ(g_heap_allocs.load() - before, tensor_allocs) << "Conv2d::forward";
+}
+
+TEST(Arena, ShardedTrainingConvWorkersAllocateNothing) {
+  const kernels::ScopedBackend pin("reference");
+  const ThreadsEnv env(4);
+  Rng rng(56);
+  Conv2d conv(3, 8, 3);
+  for (Param* p : conv.params()) {
+    for (long i = 0; i < p->value.numel(); ++i) p->value[i] = rng.normal();
+  }
+  const Tensor x = Tensor::randn({10, 3, 12, 12}, rng);
+  const Tensor go = Tensor::randn({10, 8, 12, 12}, rng);
+  const auto step = [&] {
+    conv.forward(x, /*training=*/true);
+    conv.backward(go);
+  };
+  step();
+  const long before = g_worker_allocs.load();
+  step();
+  EXPECT_EQ(g_worker_allocs.load() - before, 0);
 }
 
 }  // namespace

@@ -352,11 +352,11 @@ TEST(ObsTrace, DisabledPathOverheadSmoke) {
   volatile long sink = 0;
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) sink += i;
+  for (int i = 0; i < kIters; ++i) sink = sink + i;
   const auto t1 = std::chrono::steady_clock::now();
   for (int i = 0; i < kIters; ++i) {
     BER_TRACE_SCOPE("testcat", "off");
-    sink += i;
+    sink = sink + i;
   }
   const auto t2 = std::chrono::steady_clock::now();
 
